@@ -47,11 +47,11 @@ fn bench_fedavg(c: &mut Criterion) {
     let mut server = AggregationServer::new(net.params(), AggregationStrategy::Uniform);
     c.bench_function("server/fedavg_aggregate_8clients", |b| {
         b.iter(|| {
-            black_box(
-                server
-                    .aggregate(black_box(&updates))
-                    .expect("valid updates"),
-            );
+            let mut round = server.accumulator();
+            for u in black_box(&updates) {
+                round.admit(u.clone(), 1.0).expect("valid update");
+            }
+            black_box(server.commit_round(round).expect("valid updates"));
         })
     });
 }

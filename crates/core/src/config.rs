@@ -598,10 +598,10 @@ mod tests {
                 .build(),
             Err(ConfigError::InvalidProxMu(-0.5))
         );
-        let mut with_momentum = ExperimentConfig::paper();
-        with_momentum.fedavg.server_momentum = 0.5;
+        let mut momentum_cfg = ExperimentConfig::paper();
+        momentum_cfg.fedavg.server_momentum = 0.5;
         assert_eq!(
-            with_momentum
+            momentum_cfg
                 .to_builder()
                 .optimizer(ServerOpt::fedadam())
                 .build(),

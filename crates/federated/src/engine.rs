@@ -30,11 +30,12 @@
 use crate::client::ModelUpdate;
 use crate::error::FedError;
 use crate::federation::FedAvgConfig;
+use crate::report::{RoundReport, TransportStats};
 use crate::server::{
     AggregationServer, AggregationStrategy, RoundAccumulator, ServerOpt, ServerOptKind,
 };
 use crate::wire;
-use fedpower_telemetry::{Counter, Event, EventKind};
+use fedpower_telemetry::{Counter, Event, EventKind, Recorder};
 use std::collections::BTreeSet;
 
 /// The protocol-level configuration a [`RoundEngine`] enforces — the
@@ -205,6 +206,37 @@ pub enum Action {
     Count(Counter),
     /// Store this round's client-divergence metric in the round report.
     Divergence(f32),
+}
+
+/// Performs `actions` for an in-process driver: events flow through the
+/// single telemetry choke point (report + transport stats + recorder —
+/// which keeps the reporting structs exact reductions of the emitted
+/// stream), counters go straight to the recorder, and the divergence
+/// metric lands in the report. `report` is `None` outside a round (the
+/// join handshake).
+pub(crate) fn apply(
+    transport: &mut TransportStats,
+    recorder: &mut dyn Recorder,
+    mut report: Option<&mut RoundReport>,
+    actions: impl IntoIterator<Item = Action>,
+) {
+    for action in actions {
+        match action {
+            Action::Emit(event) => {
+                if let Some(r) = report.as_deref_mut() {
+                    r.apply(&event);
+                }
+                transport.apply(&event);
+                recorder.event(event);
+            }
+            Action::Count(counter) => recorder.counter(counter),
+            Action::Divergence(d) => {
+                if let Some(r) = report.as_deref_mut() {
+                    r.client_divergence = d;
+                }
+            }
+        }
+    }
 }
 
 /// The sans-I/O federated round state machine. See the module docs.

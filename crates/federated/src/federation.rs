@@ -1,5 +1,5 @@
 use crate::client::FederatedClient;
-use crate::engine::{Action, EnginePolicy, Frame, RoundEngine};
+use crate::engine::{self, EnginePolicy, Frame, RoundEngine};
 use crate::error::FedError;
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::pool::WorkerPool;
@@ -506,7 +506,7 @@ impl<C: FederatedClient> Federation<C> {
             client: i,
             frame_len: frame.len(),
         });
-        Self::apply(&mut self.transport, &mut *self.recorder, None, actions);
+        engine::apply(&mut self.transport, &mut *self.recorder, None, actions);
     }
 
     /// Installs a telemetry recorder; subsequent rounds emit through it.
@@ -587,7 +587,7 @@ impl<C: FederatedClient> Federation<C> {
         // plus the commit-stage counter `report::from_events` reconciles
         // against).
         let actions = self.engine.handle(Frame::BeginRound);
-        Self::apply(
+        engine::apply(
             &mut self.transport,
             &mut *self.recorder,
             Some(&mut report),
@@ -600,7 +600,7 @@ impl<C: FederatedClient> Federation<C> {
                 active.push(i);
             } else {
                 let actions = self.engine.handle(Frame::Offline { client: i });
-                Self::apply(
+                engine::apply(
                     &mut self.transport,
                     &mut *self.recorder,
                     Some(&mut report),
@@ -640,7 +640,7 @@ impl<C: FederatedClient> Federation<C> {
                 Frame::TrainPanicked { client: i }
             };
             let actions = self.engine.handle(frame);
-            Self::apply(
+            engine::apply(
                 &mut self.transport,
                 &mut *self.recorder,
                 Some(&mut report),
@@ -666,7 +666,7 @@ impl<C: FederatedClient> Federation<C> {
             {
                 retries += 1;
                 let actions = self.engine.handle(Frame::UploadRetry { client: i });
-                Self::apply(
+                engine::apply(
                     &mut self.transport,
                     &mut *self.recorder,
                     Some(&mut report),
@@ -693,7 +693,7 @@ impl<C: FederatedClient> Federation<C> {
                     {
                         retries += 1;
                         let actions = self.engine.handle(Frame::UploadRetry { client: i });
-                        Self::apply(
+                        engine::apply(
                             &mut self.transport,
                             &mut *self.recorder,
                             Some(&mut report),
@@ -721,7 +721,7 @@ impl<C: FederatedClient> Federation<C> {
                 Err(_) => Frame::Offline { client: i },
             };
             let actions = self.engine.handle(frame);
-            Self::apply(
+            engine::apply(
                 &mut self.transport,
                 &mut *self.recorder,
                 Some(&mut report),
@@ -745,7 +745,7 @@ impl<C: FederatedClient> Federation<C> {
                     origin_round: stale.origin_round,
                     update: stale.update,
                 });
-                Self::apply(
+                engine::apply(
                     &mut self.transport,
                     &mut *self.recorder,
                     Some(&mut report),
@@ -754,7 +754,7 @@ impl<C: FederatedClient> Federation<C> {
             }
             if let Some(bytes) = self.links[i].take_stale() {
                 let actions = self.engine.handle(Frame::StaleBytes { client: i, bytes });
-                Self::apply(
+                engine::apply(
                     &mut self.transport,
                     &mut *self.recorder,
                     Some(&mut report),
@@ -766,7 +766,7 @@ impl<C: FederatedClient> Federation<C> {
         // Quorum check and commit are the engine's: it also advances the
         // reference window to whatever θ goes out this round.
         let actions = self.engine.handle(Frame::CloseRound);
-        Self::apply(
+        engine::apply(
             &mut self.transport,
             &mut *self.recorder,
             Some(&mut report),
@@ -800,7 +800,7 @@ impl<C: FederatedClient> Federation<C> {
                 Err(_) => Frame::DownloadDropped { client: i },
             };
             let actions = self.engine.handle(engine_frame);
-            Self::apply(
+            engine::apply(
                 &mut self.transport,
                 &mut *self.recorder,
                 Some(&mut report),
@@ -813,45 +813,13 @@ impl<C: FederatedClient> Federation<C> {
             .span(Span::new("broadcast", round, broadcast_s));
 
         let actions = self.engine.handle(Frame::EndRound);
-        Self::apply(
+        engine::apply(
             &mut self.transport,
             &mut *self.recorder,
             Some(&mut report),
             actions,
         );
         report
-    }
-
-    /// Performs the engine's requested [`Action`]s: events flow through
-    /// the single telemetry choke point (report + transport stats +
-    /// recorder — which keeps the reporting structs exact reductions of
-    /// the emitted stream), counters go straight to the recorder, and
-    /// the divergence metric lands in the report. An associated function
-    /// (not `&mut self`) so call sites can hold disjoint field borrows;
-    /// `report` is `None` outside a round (the join handshake).
-    fn apply(
-        transport: &mut TransportStats,
-        recorder: &mut dyn Recorder,
-        mut report: Option<&mut RoundReport>,
-        actions: Vec<Action>,
-    ) {
-        for action in actions {
-            match action {
-                Action::Emit(event) => {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.apply(&event);
-                    }
-                    transport.apply(&event);
-                    recorder.event(event);
-                }
-                Action::Count(counter) => recorder.counter(counter),
-                Action::Divergence(d) => {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.client_divergence = d;
-                    }
-                }
-            }
-        }
     }
 
     /// Trains the active participants, containing panics; returns the ids

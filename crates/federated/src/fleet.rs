@@ -8,7 +8,7 @@
 //! round *topology*:
 //!
 //! * the client id space is split into contiguous shards;
-//! * each shard is reduced by an [`EdgeAggregator`] on a worker slot of
+//! * each shard is reduced by an `EdgeAggregator` on a worker slot of
 //!   the crate's [`WorkerPool`], materializing clients **one at a time**
 //!   from a [`FleetClientFactory`], training each against a persistent
 //!   per-worker workspace, folding its update into a shard-local
@@ -47,7 +47,7 @@
 //! clients exercise neither.
 
 use crate::client::{FederatedClient, ModelUpdate};
-use crate::engine::{Action, EnginePolicy, Frame, RoundEngine};
+use crate::engine::{self, Action, EnginePolicy, Frame, RoundEngine};
 use crate::error::FedError;
 use crate::fault::{Fault, FaultPlan};
 use crate::federation::FedAvgConfig;
@@ -182,11 +182,11 @@ impl Recorder for ShardTelemetry {
 /// after the merge.
 ///
 /// Edge aggregators only exist for streaming (mean-based) strategies —
-/// [`EdgeAggregator::new`] rejects robust combiners with
+/// [`EdgeAggregator::with_codec`] rejects robust combiners with
 /// [`FedError::UnsupportedInFleet`], the same check [`Fleet`] applies at
 /// construction.
 #[derive(Debug)]
-pub struct EdgeAggregator {
+pub(crate) struct EdgeAggregator {
     shard: usize,
     round: u64,
     acc: RoundAccumulator,
@@ -206,28 +206,14 @@ pub struct EdgeAggregator {
 
 impl EdgeAggregator {
     /// Opens an empty shard reducer for `round`, aggregating models of
-    /// `model_len` parameters under `strategy`.
+    /// `model_len` parameters under `strategy`, with upload bytes
+    /// accounted at the framed length of `codec`.
     ///
     /// # Errors
     ///
     /// Returns [`FedError::UnsupportedInFleet`] for the buffering
     /// (robust) strategies, whose partials do not merge associatively.
-    pub fn new(
-        shard: usize,
-        round: u64,
-        strategy: AggregationStrategy,
-        model_len: usize,
-    ) -> Result<Self, FedError> {
-        Self::with_codec(shard, round, strategy, model_len, wire::Codec::Dense32)
-    }
-
-    /// Like [`EdgeAggregator::new`], with upload bytes accounted at the
-    /// framed length of `codec` instead of dense f32.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::UnsupportedInFleet`] like [`EdgeAggregator::new`].
-    pub fn with_codec(
+    fn with_codec(
         shard: usize,
         round: u64,
         strategy: AggregationStrategy,
@@ -249,37 +235,6 @@ impl EdgeAggregator {
             secs: 0.0,
             codec,
         })
-    }
-
-    /// The shard index this aggregator reduces.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The round this aggregator belongs to.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Updates admitted into the shard partial so far.
-    pub fn admitted(&self) -> usize {
-        self.acc.admitted()
-    }
-
-    /// Online clients this shard materialized and trained.
-    pub fn clients_processed(&self) -> u64 {
-        self.clients_processed
-    }
-
-    /// Upload frame bytes this shard received.
-    pub fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
-    }
-
-    /// Consumes the reducer, returning the shard-local partial
-    /// accumulator for merging into the root's.
-    pub fn into_accumulator(self) -> RoundAccumulator {
-        self.acc
     }
 
     /// Records the arrival of a fresh upload and admits it at unit
@@ -535,7 +490,7 @@ fn run_shard<F: FleetClientFactory>(
 /// Construction validates the configuration ([`Fleet::with_options`]);
 /// [`Fleet::run_round`] then executes rounds with the same phase
 /// structure, event vocabulary, and accounting as the flat
-/// [`crate::Federation`], but fanned out over [`EdgeAggregator`] shards.
+/// [`crate::Federation`], but fanned out over edge-aggregated shards.
 /// For stateless clients the committed global model is bit-identical to
 /// the flat engine's for every shard count — see the crate docs and
 /// `tests/fleet_determinism.rs`.
@@ -714,7 +669,7 @@ impl<F: FleetClientFactory> Fleet<F> {
                 client: id,
                 frame_len: join_bytes,
             });
-            Self::apply(&mut fleet.transport, &mut *fleet.recorder, None, actions);
+            engine::apply(&mut fleet.transport, &mut *fleet.recorder, None, actions);
         }
         Ok(fleet)
     }
@@ -755,52 +710,10 @@ impl<F: FleetClientFactory> Fleet<F> {
         &mut *self.recorder
     }
 
-    /// Applies one telemetry event to the round report and the
-    /// fleet-wide transport stats, then forwards it to the recorder —
-    /// the same single choke point the flat engine uses.
-    fn emit(
-        transport: &mut TransportStats,
-        recorder: &mut dyn Recorder,
-        report: &mut RoundReport,
-        event: Event,
-    ) {
-        report.apply(&event);
-        transport.apply(&event);
-        recorder.event(event);
-    }
-
-    /// Performs the engine's [`Action`]s: events go through the same
-    /// choke point as [`Fleet::emit`] (join-time actions carry no
-    /// report), counters go to the recorder, divergence to the report.
-    fn apply(
-        transport: &mut TransportStats,
-        recorder: &mut dyn Recorder,
-        mut report: Option<&mut RoundReport>,
-        actions: Vec<Action>,
-    ) {
-        for action in actions {
-            match action {
-                Action::Emit(event) => {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.apply(&event);
-                    }
-                    transport.apply(&event);
-                    recorder.event(event);
-                }
-                Action::Count(counter) => recorder.counter(counter),
-                Action::Divergence(d) => {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.client_divergence = d;
-                    }
-                }
-            }
-        }
-    }
-
     /// Executes one sharded federated round.
     ///
     /// Phases: shard fan-out (materialize → train → upload, reduced by
-    /// one [`EdgeAggregator`] per shard), root merge of the shard
+    /// one edge aggregator per shard), root merge of the shard
     /// partials, straggler surfacing, quorum-checked commit, and
     /// broadcast accounting. Every fault the plan schedules is realized
     /// with the flat engine's semantics; like the flat engine, the round
@@ -809,7 +722,7 @@ impl<F: FleetClientFactory> Fleet<F> {
         let round = self.engine.rounds_run() + 1;
         let mut report = RoundReport::begin(round);
         let actions = self.engine.handle(Frame::BeginRound);
-        Self::apply(
+        engine::apply(
             &mut self.transport,
             &mut *self.recorder,
             Some(&mut report),
@@ -863,14 +776,15 @@ impl<F: FleetClientFactory> Fleet<F> {
         let aggregate_start = Instant::now();
         let mut retained: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
         for edge in outcomes {
-            for event in &edge.telemetry.events {
-                Self::emit(
-                    &mut self.transport,
-                    &mut *self.recorder,
-                    &mut report,
-                    *event,
-                );
-            }
+            engine::apply(
+                &mut self.transport,
+                &mut *self.recorder,
+                Some(&mut report),
+                edge.telemetry
+                    .events
+                    .iter()
+                    .map(|&event| Action::Emit(event)),
+            );
             for counter in &edge.telemetry.counters {
                 self.recorder.counter(*counter);
             }
@@ -927,7 +841,7 @@ impl<F: FleetClientFactory> Fleet<F> {
                 origin_round: stashed.origin,
                 update: stashed.update,
             });
-            Self::apply(
+            engine::apply(
                 &mut self.transport,
                 &mut *self.recorder,
                 Some(&mut report),
@@ -936,7 +850,7 @@ impl<F: FleetClientFactory> Fleet<F> {
         }
 
         let actions = self.engine.handle(Frame::CloseRound);
-        Self::apply(
+        engine::apply(
             &mut self.transport,
             &mut *self.recorder,
             Some(&mut report),
@@ -969,7 +883,7 @@ impl<F: FleetClientFactory> Fleet<F> {
                 }
             };
             let actions = self.engine.handle(frame);
-            Self::apply(
+            engine::apply(
                 &mut self.transport,
                 &mut *self.recorder,
                 Some(&mut report),
@@ -982,7 +896,7 @@ impl<F: FleetClientFactory> Fleet<F> {
             .span(Span::new("broadcast", round, broadcast_s));
 
         let actions = self.engine.handle(Frame::EndRound);
-        Self::apply(
+        engine::apply(
             &mut self.transport,
             &mut *self.recorder,
             Some(&mut report),
@@ -1120,8 +1034,6 @@ mod tests {
             let mut config = fleet_config(4, 2, 1);
             config.fedavg.strategy = strategy;
             let err = Fleet::new(StubFactory { dim: 4 }, config).expect_err("rejected");
-            assert_eq!(err, FedError::UnsupportedInFleet { strategy });
-            let err = EdgeAggregator::new(0, 1, strategy, 4).expect_err("rejected");
             assert_eq!(err, FedError::UnsupportedInFleet { strategy });
         }
     }

@@ -12,11 +12,12 @@
 //!
 //! Components:
 //!
-//! * [`AggregationServer`] — synchronous parameter averaging with
-//!   [`AggregationStrategy`] (the paper's unweighted mean plus a
-//!   sample-weighted extension) feeding a [`ServerOptimizer`] commit stage
-//!   ([`ServerOpt::FedAvg`], [`ServerOpt::FedAdam`], [`ServerOpt::FedProx`])
-//!   with an optional staleness-aware buffered-async round ([`AsyncRound`]),
+//! * [`AggregationServer`] — synchronous parameter averaging: a round's
+//!   updates stream into a [`RoundAccumulator`], are combined under
+//!   [`AggregationStrategy`] (the paper's unweighted mean plus
+//!   sample-weighted and robust extensions), and are committed into θ by
+//!   the [`ServerOpt`] the configuration selects ([`ServerOpt::FedAvg`],
+//!   [`ServerOpt::FedAdam`], [`ServerOpt::FedProx`]),
 //! * [`AgentClient`] — a [`FederatedClient`] wrapping a power controller
 //!   and its simulated device,
 //! * [`Federation`] — round orchestration (`R` rounds × `T` local steps),
@@ -25,8 +26,8 @@
 //!   client faults via minimum-quorum aggregation, bounded upload retries,
 //!   staleness-discounted straggler updates, and NaN/shape admission,
 //! * [`Fleet`] — hierarchical (sharded) cross-device orchestration: each
-//!   [`EdgeAggregator`] reduces a shard of lazily materialized clients
-//!   into an exact partial sum ([`ExactSum`] arithmetic), and the merged
+//!   shard of lazily materialized clients is reduced by an edge
+//!   aggregator into an exact partial sum ([`ExactSum`] arithmetic), and the merged
 //!   partials commit through the same server path bit-identically to a
 //!   flat round — which is what keeps a 100k-client round inside a fixed
 //!   memory budget,
@@ -84,12 +85,11 @@ pub use fault::{
     CorruptionKind, Fault, FaultConfig, FaultPlan, FaultScenario, FaultyTransport, PlanCounts,
 };
 pub use federation::{FedAvgConfig, Federation, FederationBuilder};
-pub use fleet::{EdgeAggregator, Fleet, FleetClientFactory, FleetConfig};
+pub use fleet::{Fleet, FleetClientFactory, FleetConfig};
 pub use netserver::{run_client, serve, serve_on, JoinOptions, ServeOptions, ServeReport};
 pub use pool::WorkerPool;
 pub use server::{
-    AggregationServer, AggregationStrategy, AsyncRound, FedAdamCommit, FedAvgCommit, FedProxCommit,
-    RoundAccumulator, ServerOpt, ServerOptKind, ServerOptimizer, STALENESS_BUCKETS,
+    AggregationServer, AggregationStrategy, RoundAccumulator, ServerOpt, ServerOptKind,
 };
 pub use td_client::TdClient;
 pub use transport::{ChannelTransport, TcpTransport, Transport, TransportKind};

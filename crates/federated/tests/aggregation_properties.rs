@@ -11,6 +11,15 @@ fn update(id: usize, params: Vec<f32>, samples: u64) -> ModelUpdate {
     }
 }
 
+/// Admits `updates` at unit weight and commits them as one round.
+fn commit(server: &mut AggregationServer, updates: &[ModelUpdate]) -> Vec<f32> {
+    let mut acc = server.accumulator();
+    for u in updates {
+        acc.admit(u.clone(), 1.0).expect("valid update");
+    }
+    server.commit_round(acc).expect("valid round").to_vec()
+}
+
 fn models(n_models: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(
         prop::collection::vec(-10.0_f32..10.0, len..=len),
@@ -40,7 +49,7 @@ proptest! {
         ];
         for strategy in strategies {
             let mut server = AggregationServer::new(vec![0.0; len], strategy);
-            let global = server.aggregate(&updates).expect("valid round").to_vec();
+            let global = commit(&mut server, &updates);
             for i in 0..len {
                 let lo = params.iter().map(|p| p[i]).fold(f32::INFINITY, f32::min);
                 let hi = params.iter().map(|p| p[i]).fold(f32::NEG_INFINITY, f32::max);
@@ -67,7 +76,7 @@ proptest! {
             AggregationStrategy::CoordinateMedian,
         ] {
             let mut server = AggregationServer::new(vec![0.0; p.len()], strategy);
-            let global = server.aggregate(&updates).expect("valid round");
+            let global = commit(&mut server, &updates);
             for (g, e) in global.iter().zip(&p) {
                 prop_assert!((g - e).abs() < 1e-6);
             }
@@ -182,7 +191,7 @@ proptest! {
         updates.push(update(3, vec![poison], 1));
         updates.push(update(4, vec![-poison], 1));
         let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::CoordinateMedian);
-        let global = server.aggregate(&updates).expect("valid round");
+        let global = commit(&mut server, &updates);
         prop_assert!(
             (0.9..=1.1).contains(&global[0]),
             "median {} escaped honest range",

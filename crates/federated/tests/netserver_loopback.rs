@@ -1,5 +1,5 @@
 //! Loopback tests of the standalone federation server: real TCP sockets
-//! on 127.0.0.1 driving [`fedpower_federated::serve`] against scripted
+//! on 127.0.0.1 driving [`fedpower_federated::serve_on`] against scripted
 //! and real clients, covering the ISSUE-10 churn and checkpointed-resume
 //! guarantees.
 
@@ -7,8 +7,8 @@ use fedpower_agent::{ControllerConfig, DeviceEnvConfig};
 use fedpower_federated::engine::{Action, EnginePolicy, Frame, RoundEngine};
 use fedpower_federated::wire as fedwire;
 use fedpower_federated::{
-    run_client, serve, serve_on, AgentClient, Codec, Fault, FaultPlan, FedAvgConfig,
-    FederatedClient, Federation, JoinOptions, ModelUpdate, ServeOptions, TransportKind,
+    run_client, serve_on, AgentClient, Codec, Fault, FaultPlan, FedAvgConfig, FederatedClient,
+    Federation, JoinOptions, ModelUpdate, ServeOptions, TransportKind,
 };
 use fedpower_telemetry::{Event, EventKind, MemoryRecorder, Recorder};
 use fedpower_wire::stream::{prefix_frame, FrameReassembler};
@@ -18,15 +18,6 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
-
-/// Picks a free loopback port so two server incarnations can share one
-/// address (port 0 would bind a different port each time).
-fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind probe");
-    let addr = listener.local_addr().expect("probe addr").to_string();
-    drop(listener);
-    addr
-}
 
 fn small_config(rounds: u64) -> FedAvgConfig {
     FedAvgConfig {
@@ -95,7 +86,9 @@ fn settle() {
 #[test]
 fn loopback_clients_and_server_complete_a_federation() {
     let config = small_config(3);
-    let addr = free_addr();
+    // Bound before any client connects, so no join can race the server.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
     // The in-process drivers size the global from their first client;
     // the standalone server must know the shape up front.
     let initial: Vec<f32> = agent(0, AppId::Fft, 1)
@@ -104,13 +97,12 @@ fn loopback_clients_and_server_complete_a_federation() {
         .iter()
         .map(|_| 0.0)
         .collect();
-    let mut opts = ServeOptions::new(2, config, initial);
-    opts.addr = addr.clone();
+    let opts = ServeOptions::new(2, config, initial);
     let recorder = MemoryRecorder::new();
     let server = {
         let opts = opts.clone();
         let mut rec = recorder.clone();
-        thread::spawn(move || serve(&opts, &mut rec).expect("serve"))
+        thread::spawn(move || serve_on(listener, &opts, &mut rec).expect("serve"))
     };
     let joiners: Vec<_> = [(0, AppId::Fft, 1u64), (1, AppId::Ocean, 2u64)]
         .into_iter()
@@ -168,14 +160,16 @@ fn apply(recorder: &mut dyn Recorder, actions: Vec<Action>) {
 fn mid_round_disconnect_and_rejoin_matches_the_fault_plan_accounting() {
     let dim = 4;
     let config = small_config(3);
-    let addr = free_addr();
-    let mut opts = ServeOptions::new(2, config, vec![0.25; dim]);
-    opts.addr = addr.clone();
+    // Bound before the scripted clients connect, so no join can race the
+    // server.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let opts = ServeOptions::new(2, config, vec![0.25; dim]);
     let recorder = MemoryRecorder::new();
     let server = {
         let opts = opts.clone();
         let mut rec = recorder.clone();
-        thread::spawn(move || serve(&opts, &mut rec).expect("serve"))
+        thread::spawn(move || serve_on(listener, &opts, &mut rec).expect("serve"))
     };
 
     // Fixed, deterministic client updates: round r, client c uploads
