@@ -2,10 +2,9 @@
 //! averages whatever clients upload; a single malicious participant can
 //! poison the global DVFS policy (and with it, every device's power
 //! behaviour). This binary injects a model-poisoning client — via the
-//! federation's fault layer ([`FaultPlan::poison`] driving a
-//! [`fedpower_federated::FaultyTransport`] that rewrites the upload frame
-//! in flight) — and compares plain averaging against the robust
-//! aggregation rules.
+//! federation's fault layer ([`FaultPlan::poison`], whose corruption the
+//! federation applies to the upload frame in flight) — and compares plain
+//! averaging against the robust aggregation rules.
 //!
 //! ```text
 //! cargo run --release -p fedpower-bench --bin ablation_byzantine [--quick]

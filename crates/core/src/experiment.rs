@@ -168,7 +168,7 @@ fn federation_loop(
 }
 
 /// Builds the scenario's federation over the configured transport,
-/// injecting a seed-deterministic [`FaultPlan`] into the links when the
+/// injecting a seed-deterministic [`FaultPlan`] into its rounds when the
 /// fault scenario asks for one, and handing `recorder` the federation's
 /// telemetry stream.
 fn build_federation(
@@ -201,11 +201,11 @@ fn build_federation(
 /// Trains one shared policy across the scenario's devices with federated
 /// averaging, evaluating the global policy after every round.
 ///
-/// When [`ExperimentConfig::fault_scenario`] is not `None`, every
-/// transport link is wrapped in a [`fedpower_federated::FaultyTransport`]
-/// driven by a seed-deterministic [`FaultPlan`], so faults strike the
-/// bytes in flight; with `FaultScenario::None` the plain links are used
-/// unchanged, so fault-free runs are bit-identical across backends.
+/// When [`ExperimentConfig::fault_scenario`] is not `None`, the
+/// federation applies a seed-deterministic [`FaultPlan`] to the encoded
+/// frames in front of its transport links, so faults strike the bytes in
+/// flight; with `FaultScenario::None` the plan is empty, so fault-free
+/// runs are bit-identical across backends.
 pub fn run_federated(scenario: &Scenario, cfg: &ExperimentConfig) -> FederatedOutcome {
     run_federated_recorded(scenario, cfg, Box::new(NullRecorder))
 }

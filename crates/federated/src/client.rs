@@ -34,8 +34,11 @@ pub struct StaleUpdate {
 ///
 /// The fallible/fault-aware methods (`begin_round`, `is_online`,
 /// `try_upload`, `try_download`, `take_stale`) have pass-through default
-/// implementations, so reliable clients only implement the core methods;
-/// fault injection lives at the transport layer ([`crate::FaultyTransport`]).
+/// implementations, so reliable clients only implement the core methods.
+/// Scheduled fault injection does not go through them: the drivers apply
+/// a [`crate::FaultPlan`] themselves (see [`crate::Federation`] and
+/// [`crate::Fleet`]); these hooks are for clients whose own behaviour is
+/// fallible.
 ///
 /// Training goes through [`FederatedClient::train_round_with`], which
 /// borrows a per-worker [`FederatedClient::Workspace`] so the steady-state
@@ -99,7 +102,8 @@ pub trait FederatedClient: Send {
     }
 
     /// Notifies the client that federated round `round` (1-based) begins.
-    /// Fault-injecting clients use this to advance their fault schedule.
+    /// Clients with their own round-dependent behaviour use this to
+    /// advance it.
     fn begin_round(&mut self, _round: u64) {}
 
     /// Whether the device is reachable this round. Offline (crashed)

@@ -31,9 +31,9 @@
 //!   partials commit through the same server path bit-identically to a
 //!   flat round — which is what keeps a 100k-client round inside a fixed
 //!   memory budget,
-//! * [`FaultPlan`] / [`FaultyTransport`] — seed-deterministic fault
-//!   injection (drops, stragglers, corruption, crash-and-rejoin) applied to
-//!   bytes in flight, for resilience testing,
+//! * [`FaultPlan`] — seed-deterministic fault injection (drops,
+//!   stragglers, corruption, crash-and-rejoin) that [`Federation`] and
+//!   [`Fleet`] apply through one shared actuator, for resilience testing,
 //! * [`report`] — the unified reporting module: [`report::RoundReport`],
 //!   [`report::PhaseTimings`], [`report::TransportStats`] (the §IV-C
 //!   overhead numbers), and [`report::FaultSummary`], all defined as
@@ -81,9 +81,7 @@ pub use client::{AgentClient, FederatedClient, ModelUpdate, StaleUpdate};
 pub use engine::{Action, EnginePolicy, Frame, RoundEngine};
 pub use error::FedError;
 pub use exact::ExactSum;
-pub use fault::{
-    CorruptionKind, Fault, FaultConfig, FaultPlan, FaultScenario, FaultyTransport, PlanCounts,
-};
+pub use fault::{CorruptionKind, Fault, FaultConfig, FaultPlan, FaultScenario, PlanCounts};
 pub use federation::{FedAvgConfig, Federation, FederationBuilder};
 pub use fleet::{Fleet, FleetClientFactory, FleetConfig};
 pub use netserver::{run_client, serve, serve_on, JoinOptions, ServeOptions, ServeReport};

@@ -22,8 +22,8 @@
 //! 3. The client trains round `rounds_completed + 1` locally and uploads.
 //! 4. When every joined client's upload has resolved — or the round
 //!    deadline expires, closing out stragglers via [`RoundEngine::tick`]
-//!    — the server commits, checkpoints, broadcasts the new global, and
-//!    the cycle repeats from 3.
+//!    — the server commits, checkpoints, sends the new global, and the
+//!    cycle repeats from 3.
 //!
 //! # Churn
 //!
@@ -48,6 +48,14 @@
 //! updates — and because streaming aggregation is admission-order
 //! independent ([`crate::ExactSum`]), the replayed commit is
 //! bit-identical to the one the crash destroyed.
+//!
+//! The broadcast of round K's global θ_K is queued, not sent, until the
+//! checkpoint of round K is on disk: a client holding θ_K trains round
+//! K + 1, so a restart must resume at K. Were θ_K to leave first, a crash
+//! before the save would restart the server at K − 1 and make those
+//! clients train round K a second time. A queued broadcast counts as
+//! delivered; a connection whose send then fails is reaped as a leave on
+//! the next pass.
 
 use crate::client::FederatedClient;
 use crate::engine::{Action, EnginePolicy, Frame, RoundEngine};
@@ -175,9 +183,10 @@ fn apply(recorder: &mut dyn Recorder, actions: Vec<Action>) {
 ///
 /// [`FedError::Io`] when the listener cannot bind or a checkpoint
 /// cannot be written/restored; [`FedError::InvalidConfig`] when the
-/// options are degenerate or a restored checkpoint disagrees with the
-/// configuration. Individual connection failures are *not* errors —
-/// they are churn, accounted through the engine.
+/// options are degenerate, a federation setting is outside its domain
+/// (the check [`crate::Federation`] panics on), or a restored checkpoint
+/// disagrees with the configuration. Individual connection failures are
+/// *not* errors — they are churn, accounted through the engine.
 pub fn serve(opts: &ServeOptions, recorder: &mut dyn Recorder) -> Result<ServeReport, FedError> {
     // A restarted server races the kernel's TIME_WAIT hold on its old
     // port; retry AddrInUse briefly instead of failing the resume.
@@ -218,6 +227,7 @@ pub fn serve_on(
             "the server needs a non-empty initial global model".to_string(),
         ));
     }
+    opts.config.validate().map_err(FedError::InvalidConfig)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?.to_string();
 
@@ -364,16 +374,22 @@ pub fn serve_on(
             if expired || engine.pending_uploads() == 0 {
                 let round = engine.rounds_run() + 1;
                 apply(recorder, engine.handle(Frame::CloseRound));
-                broadcast(&mut conns, round, &mut engine, recorder);
+                let outgoing = broadcast(&conns, round, &mut engine, recorder);
                 apply(recorder, engine.handle(Frame::EndRound));
                 round_opened = None;
-                // Make the round's telemetry durable before the
-                // checkpoint that covers it: a crash-recovery replay
-                // (`telemetry_replay`) must never see the log behind
-                // the checkpoint.
+                // Make the round durable before any θ_K byte leaves (see
+                // the module docs): first its telemetry — a
+                // crash-recovery replay (`telemetry_replay`) must never
+                // see the log behind the checkpoint — then the
+                // checkpoint itself.
                 recorder.flush();
                 if let Some(path) = &opts.checkpoint {
                     engine.checkpoint().save(path)?;
+                }
+                for (i, frame) in outgoing {
+                    if write_frame(&mut conns[i].stream, &frame).is_err() {
+                        conns[i].dead = true;
+                    }
                 }
                 if opts.halt_after == Some(engine.rounds_run()) {
                     break 'rounds;
@@ -508,32 +524,34 @@ fn dispatch_upload(
     }
 }
 
-/// Broadcasts the round's global model to every joined connection,
-/// feeding the engine the delivery outcome per client.
+/// Queues the round's global model for every joined connection and
+/// reports each as delivered to the engine; returns the
+/// `(connection index, frame)` pairs for the caller to send once the
+/// round is checkpointed.
 fn broadcast(
-    conns: &mut [Conn],
+    conns: &[Conn],
     round: u64,
     engine: &mut RoundEngine,
     recorder: &mut dyn Recorder,
-) {
-    for conn in conns.iter_mut() {
+) -> Vec<(usize, Vec<u8>)> {
+    let mut outgoing = Vec::new();
+    for (i, conn) in conns.iter().enumerate() {
         let Some(slot) = conn.slot else { continue };
         if !engine.joined(slot) {
             continue;
         }
         let frame = wire::encode_broadcast(round, slot, engine.global());
         let frame_len = frame.len();
-        let outcome = if write_frame(&mut conn.stream, &frame).is_ok() {
-            Frame::Delivered {
+        apply(
+            recorder,
+            engine.handle(Frame::Delivered {
                 client: slot,
                 frame_len,
-            }
-        } else {
-            conn.dead = true;
-            Frame::DownloadDropped { client: slot }
-        };
-        apply(recorder, engine.handle(outcome));
+            }),
+        );
+        outgoing.push((i, frame));
     }
+    outgoing
 }
 
 /// Writes one length-prefixed frame, retrying `WouldBlock` (a

@@ -208,6 +208,25 @@ impl ServerOpt {
             }
         }
     }
+
+    /// [`ServerOpt::validate`] plus the FedAvgM momentum β the commit
+    /// stage runs with: β ∈ [0, 1), and β = 0 under FedAdam
+    /// (`server_momentum` is a FedAvg(M) setting; FedAdam maintains its
+    /// own moments).
+    pub(crate) fn validate_with_momentum(self, momentum: f32) -> Result<(), String> {
+        self.validate()?;
+        if matches!(self, ServerOpt::FedAdam { .. }) {
+            if momentum != 0.0 {
+                return Err(format!(
+                    "server_momentum is a FedAvg(M) setting and must be 0 under FedAdam \
+                     (FedAdam maintains its own moments), got {momentum}"
+                ));
+            }
+        } else if !(0.0..1.0).contains(&momentum) {
+            return Err(format!("momentum must be in [0, 1), got {momentum}"));
+        }
+        Ok(())
+    }
 }
 
 /// The commit stage of the two-stage aggregation pipeline.
@@ -265,12 +284,10 @@ impl Commit {
     ///
     /// # Panics
     ///
-    /// Panics when the hyperparameters fail [`ServerOpt::validate`], when
-    /// `momentum ∉ [0, 1)`, or when `momentum > 0` is combined with
-    /// FedAdam (`server_momentum` is a FedAvg(M) setting; FedAdam
-    /// maintains its own moments).
+    /// Panics when `opt` and `momentum` fail
+    /// [`ServerOpt::validate_with_momentum`].
     fn new(model_len: usize, momentum: f32, opt: ServerOpt) -> Self {
-        if let Err(msg) = opt.validate() {
+        if let Err(msg) = opt.validate_with_momentum(momentum) {
             panic!("{msg}");
         }
         match opt {
@@ -279,33 +296,20 @@ impl Commit {
                 beta1,
                 beta2,
                 eps,
-            } => {
-                assert!(
-                    momentum == 0.0,
-                    "server_momentum is a FedAvg(M) setting and must be 0 under FedAdam \
-                     (FedAdam maintains its own moments), got {momentum}"
-                );
-                Commit::Adam {
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                    t: 0,
-                    m: vec![0.0; model_len],
-                    v: vec![0.0; model_len],
-                }
-            }
-            ServerOpt::FedAvg | ServerOpt::FedProx { .. } => {
-                assert!(
-                    (0.0..1.0).contains(&momentum),
-                    "momentum must be in [0, 1), got {momentum}"
-                );
-                Commit::Average {
-                    kind: opt.kind(),
-                    momentum,
-                    velocity: vec![0.0; model_len],
-                }
-            }
+            } => Commit::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+                t: 0,
+                m: vec![0.0; model_len],
+                v: vec![0.0; model_len],
+            },
+            ServerOpt::FedAvg | ServerOpt::FedProx { .. } => Commit::Average {
+                kind: opt.kind(),
+                momentum,
+                velocity: vec![0.0; model_len],
+            },
         }
     }
 

@@ -13,11 +13,11 @@ use std::time::Duration;
 /// modeled as one blocking hop: the caller hands in the encoded frame and
 /// gets back the bytes *as received on the far side*. [`upload`] moves a
 /// frame client → server; [`broadcast`] moves one server → client. A
-/// faithful transport returns the frame unchanged; a faulty or lossy one
-/// may refuse ([`FedError::UploadDropped`] / [`FedError::DownloadDropped`]
-/// / [`FedError::Straggling`] / [`FedError::ClientOffline`]) or deliver
-/// mangled bytes, which the wire-level CRC or server admission then
-/// rejects.
+/// faithful transport returns the frame unchanged; a lossy one refuses
+/// ([`FedError::UploadDropped`] / [`FedError::DownloadDropped`]) or
+/// delivers mangled bytes, which the wire-level CRC or server admission
+/// then rejects. Scheduled faults are not the link's business: the
+/// federation applies its [`crate::FaultPlan`] in front of the links.
 ///
 /// [`upload`]: Transport::upload
 /// [`broadcast`]: Transport::broadcast
@@ -25,22 +25,13 @@ pub trait Transport: Send + fmt::Debug {
     /// The client this link connects to the server.
     fn client_id(&self) -> usize;
 
-    /// Advances the link's notion of the current round (used by fault
-    /// middleware; faithful transports ignore it).
-    fn begin_round(&mut self, _round: u64) {}
-
-    /// Whether the link's client end is reachable this round.
-    fn is_online(&self) -> bool {
-        true
-    }
-
     /// Carries an encoded frame client → server, returning the bytes the
     /// server received.
     ///
     /// # Errors
     ///
     /// A [`FedError`] disposition when the frame does not arrive this
-    /// attempt (dropped, straggling, client offline, or an I/O failure).
+    /// attempt (dropped, or an I/O failure).
     fn upload(&mut self, frame: &[u8]) -> Result<Vec<u8>, FedError>;
 
     /// Carries an encoded frame server → client, returning the bytes the
@@ -49,40 +40,8 @@ pub trait Transport: Send + fmt::Debug {
     /// # Errors
     ///
     /// A [`FedError`] disposition when the frame does not arrive
-    /// (download dropped, client offline, or an I/O failure).
+    /// (download dropped, or an I/O failure).
     fn broadcast(&mut self, frame: &[u8]) -> Result<Vec<u8>, FedError>;
-
-    /// Collects a straggler's frame buffered in a previous round, if one
-    /// has become deliverable (faithful transports buffer nothing).
-    fn take_stale(&mut self) -> Option<Vec<u8>> {
-        None
-    }
-}
-
-impl Transport for Box<dyn Transport> {
-    fn client_id(&self) -> usize {
-        (**self).client_id()
-    }
-
-    fn begin_round(&mut self, round: u64) {
-        (**self).begin_round(round);
-    }
-
-    fn is_online(&self) -> bool {
-        (**self).is_online()
-    }
-
-    fn upload(&mut self, frame: &[u8]) -> Result<Vec<u8>, FedError> {
-        (**self).upload(frame)
-    }
-
-    fn broadcast(&mut self, frame: &[u8]) -> Result<Vec<u8>, FedError> {
-        (**self).broadcast(frame)
-    }
-
-    fn take_stale(&mut self) -> Option<Vec<u8>> {
-        (**self).take_stale()
-    }
 }
 
 /// In-process transport over std `mpsc` channels — the default backend.
@@ -358,9 +317,6 @@ mod tests {
     use super::*;
 
     fn exercise_link(link: &mut dyn Transport) {
-        assert!(link.is_online());
-        assert!(link.take_stale().is_none());
-        link.begin_round(1);
         let up = vec![0xAB; 37];
         assert_eq!(link.upload(&up).unwrap(), up);
         let down = vec![0xCD; 91];

@@ -130,7 +130,7 @@ fn engine_variants_are_bit_identical() {
 }
 
 /// With every fault probability at zero the generated plan is empty, and
-/// a plan-wrapped federation reproduces the unwrapped one bit-for-bit on
+/// a federation given that plan reproduces one given none bit-for-bit on
 /// both backends — the fault layer costs nothing when turned off.
 #[test]
 fn zero_probability_link_faults_equal_the_fault_free_run() {

@@ -17,8 +17,8 @@ use fedpower::federated::{
     FedAvgConfig, FedError, FederatedClient, Federation, ModelUpdate,
 };
 
-/// A federation whose channel links realize `plan` in flight
-/// ([`fedpower::federated::FaultyTransport`] wraps every link).
+/// A federation over channel links that applies `plan` to the frames in
+/// flight.
 fn faulted<C: FederatedClient>(
     clients: Vec<C>,
     plan: &FaultPlan,
@@ -373,8 +373,8 @@ fn lossy_run_with_straggler_accounts_for_every_fault() {
     );
 }
 
-/// Wrapping the links with an empty fault plan is bit-identical to not
-/// wrapping them at all.
+/// Injecting an empty fault plan is bit-identical to injecting none at
+/// all.
 #[test]
 fn empty_plan_wrapper_is_bitwise_transparent() {
     let rounds = 10;

@@ -26,7 +26,7 @@ fn tiny() -> ExperimentConfig {
     cfg
 }
 
-/// A 20-round MathClient federation observed by `recorder`, its links
+/// A 20-round MathClient federation observed by `recorder`, its rounds
 /// driven by a seeded chaos fault plan rich enough to exercise every
 /// event kind the reports account for.
 fn chaos_run(recorder: Box<dyn Recorder>) -> (Federation<MathClient>, FaultSummary) {

@@ -1,7 +1,6 @@
-//! Transport-level fault injection: the same fault plans the federation
-//! originally applied at the client layer, now actuated on the encoded
-//! frames in flight by `FaultyTransport` middleware — exercised over both
-//! transport backends, which must behave identically.
+//! In-flight fault injection: the federation applies its fault plan to
+//! the encoded frames in front of the transport links — exercised over
+//! both transport backends, which must behave identically.
 
 mod common;
 
@@ -69,8 +68,8 @@ fn in_flight_upload_drops_exhaust_the_retry_budget() {
     }
 }
 
-/// A frame NaN-corrupted in flight decodes (the middleware re-frames it
-/// with a valid CRC) but fails server admission; honest clients alone
+/// A frame NaN-corrupted in flight decodes (the fault actuator re-frames
+/// it with a valid CRC) but fails server admission; honest clients alone
 /// define the new global.
 #[test]
 fn frames_corrupted_in_flight_are_rejected_by_admission() {
@@ -128,9 +127,9 @@ impl FederatedClient for ScriptClient {
     }
 }
 
-/// A straggling link buffers the encoded frame and delivers it a round
-/// late; the server applies it at `staleness_decay^age` — the frame's own
-/// round header carries its origin.
+/// A straggler's encoded frame is held in flight and crosses its link a
+/// round late; the server applies it at `staleness_decay^age` — the
+/// frame's own round header carries its origin.
 #[test]
 fn frames_buffered_by_a_straggling_link_land_late_and_discounted() {
     for kind in TransportKind::ALL {
@@ -175,7 +174,7 @@ fn frames_buffered_by_a_straggling_link_land_late_and_discounted() {
     }
 }
 
-/// A crashed link takes its client offline — no training, uploads, or
+/// A crash takes its client offline — no training, uploads, or
 /// broadcasts — until the crash window elapses and the client rejoins on
 /// the current global model.
 #[test]
@@ -225,8 +224,8 @@ fn broadcast_frames_dropped_in_flight_leave_the_client_stale() {
     }
 }
 
-/// The chaos scenario on the links is seed-deterministic, and the TCP
-/// backend actuates the identical plan to the bit-identical effect.
+/// The chaos scenario is seed-deterministic, and over the TCP backend the
+/// identical plan has the bit-identical effect.
 #[test]
 fn chaotic_link_faults_are_deterministic_across_backends() {
     let run = |kind| {
