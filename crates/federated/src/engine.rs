@@ -208,31 +208,57 @@ pub enum Action {
     Divergence(f32),
 }
 
-/// Performs `actions` for an in-process driver: events flow through the
-/// single telemetry choke point (report + transport stats + recorder —
-/// which keeps the reporting structs exact reductions of the emitted
-/// stream), counters go straight to the recorder, and the divergence
-/// metric lands in the report. `report` is `None` outside a round (the
-/// join handshake).
-pub(crate) fn apply(
-    transport: &mut TransportStats,
-    recorder: &mut dyn Recorder,
-    mut report: Option<&mut RoundReport>,
-    actions: impl IntoIterator<Item = Action>,
-) {
-    for action in actions {
-        match action {
-            Action::Emit(event) => {
-                if let Some(r) = report.as_deref_mut() {
-                    r.apply(&event);
+/// The engine as an in-process driver ([`crate::Federation`],
+/// [`crate::Fleet`]) holds it, together with the transport statistics and
+/// the telemetry recorder its actions land in.
+#[derive(Debug)]
+pub(crate) struct EngineHost {
+    pub(crate) engine: RoundEngine,
+    pub(crate) transport: TransportStats,
+    pub(crate) recorder: Box<dyn Recorder>,
+}
+
+impl EngineHost {
+    /// Hosts `engine` with empty transport statistics.
+    pub(crate) fn new(engine: RoundEngine, recorder: Box<dyn Recorder>) -> Self {
+        EngineHost {
+            engine,
+            transport: TransportStats::new(),
+            recorder,
+        }
+    }
+
+    /// Hands `frame` to the engine and performs the actions it returns.
+    pub(crate) fn feed(&mut self, report: &mut RoundReport, frame: Frame) {
+        let actions = self.engine.handle(frame);
+        self.apply(Some(report), actions);
+    }
+
+    /// Performs `actions`: events flow through the single telemetry choke
+    /// point (report + transport stats + recorder — which keeps the
+    /// reporting structs exact reductions of the emitted stream),
+    /// counters go straight to the recorder, and the divergence metric
+    /// lands in the report. `report` is `None` outside a round (the join
+    /// handshake).
+    pub(crate) fn apply(
+        &mut self,
+        mut report: Option<&mut RoundReport>,
+        actions: impl IntoIterator<Item = Action>,
+    ) {
+        for action in actions {
+            match action {
+                Action::Emit(event) => {
+                    if let Some(r) = report.as_deref_mut() {
+                        r.apply(&event);
+                    }
+                    self.transport.apply(&event);
+                    self.recorder.event(event);
                 }
-                transport.apply(&event);
-                recorder.event(event);
-            }
-            Action::Count(counter) => recorder.counter(counter),
-            Action::Divergence(d) => {
-                if let Some(r) = report.as_deref_mut() {
-                    r.client_divergence = d;
+                Action::Count(counter) => self.recorder.counter(counter),
+                Action::Divergence(d) => {
+                    if let Some(r) = report.as_deref_mut() {
+                        r.client_divergence = d;
+                    }
                 }
             }
         }

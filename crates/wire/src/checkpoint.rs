@@ -32,13 +32,14 @@
 //!    end     4  CRC32 (IEEE) over everything before
 //! ```
 //!
-//! [`Checkpoint::save`] writes atomically (temp file + rename) so a
-//! crash mid-write leaves the previous checkpoint intact; a torn or
+//! [`Checkpoint::save`] writes atomically and durably (synced temp file +
+//! rename + directory sync) so a crash mid-write leaves the previous
+//! checkpoint intact and a returned save survives a host crash; a torn or
 //! tampered file fails [`Checkpoint::decode`]'s CRC before any field is
 //! trusted.
 
 use crate::{crc32, WireError};
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// The four magic bytes opening a checkpoint file.
@@ -161,17 +162,32 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint to `path` atomically: the bytes land in a
-    /// sibling temp file first and are renamed over the target, so a
-    /// crash mid-write leaves any previous checkpoint intact.
+    /// Writes the checkpoint to `path` atomically and durably: the bytes
+    /// land in a sibling temp file, which is synced and then renamed over
+    /// the target, and the directory is synced after the rename. A crash
+    /// mid-write leaves any previous checkpoint intact; once `save`
+    /// returns, the new one survives a host crash, not only a killed
+    /// process.
     ///
     /// # Errors
     ///
     /// Any I/O failure creating, writing, syncing, or renaming the file.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let tmp = path.with_extension("fpck.tmp");
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, path)
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&self.encode())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename is an entry in the directory; sync that too.
+        #[cfg(unix)]
+        {
+            let dir = path
+                .parent()
+                .filter(|d| !d.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            std::fs::File::open(dir)?.sync_all()?;
+        }
+        Ok(())
     }
 
     /// Reads and decodes the checkpoint at `path`.
